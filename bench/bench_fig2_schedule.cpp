@@ -39,8 +39,8 @@ int main() {
   std::map<uint64_t, Row> timeline;  // keyed by cluster cycle
 
   cl.redmule().set_schedule_observer(
-      [&](uint64_t, const std::vector<core::Datapath::ColumnIssue>& issues,
-          const std::optional<core::Datapath::Capture>& cap) {
+      [&](uint64_t, std::span<const core::Datapath::ColumnIssue> issues,
+          const core::Datapath::Capture* cap) {
         Row& row = timeline[cl.cycle()];
         for (unsigned c = 0; c < 2; ++c) {
           if (!issues[c].active) continue;
@@ -49,7 +49,7 @@ int main() {
           if (issues[c].first_traversal) row.col[c] += " acc=0";
           else if (c == 0) row.col[c] += " <-fb";
         }
-        if (cap.has_value())
+        if (cap != nullptr)
           row.capture = "Z[j" + std::to_string(cap->tag.tau) + "]";
       });
 

@@ -17,7 +17,10 @@
 ///
 /// Simulated cycle counts are identical across all three by construction
 /// (tests/sim/test_idle_skip.cpp, tests/fp16/test_hw_crosscheck.cpp); only
-/// host wall time differs.
+/// host wall time differs. The bench checks it: fast and reference kernels
+/// must agree on the simulated cycles *and* on the Z matrix's bits (exit 1
+/// otherwise), so its smoke run gates the fast FMA kernels against the soft
+/// core end to end.
 ///
 /// Usage: bench_simkernel [--smoke] [--out <path>]
 ///   --smoke  tiny problem + single jobs (CI rot check, not a measurement)
@@ -26,6 +29,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "api/workload.hpp"
 #include "bench_util.hpp"
 #include "sim/run_control.hpp"
 #include "sim/simulator.hpp"
@@ -48,6 +52,7 @@ constexpr double kPreOptCyclesPerJob = 8233.0;  // identical simulated cycles
 
 struct KernelRun {
   core::JobStats job_stats;  ///< per-job counters (identical every job)
+  uint64_t z_hash = 0;       ///< FNV-1a over the last job's Z bit patterns
   uint64_t agg_cycles = 0;   ///< simulated cycles over the whole window
   uint64_t agg_macs = 0;
   double wall_s = 0.0;
@@ -100,6 +105,7 @@ KernelRun run_timed(const core::Geometry& g, const workloads::GemmShape& s,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   } while (run.wall_s < min_window_s);
   fp16::set_fast_fma_enabled(true);
+  run.z_hash = api::hash_matrix(drv.read_matrix(za, s.m, s.k));
   return run;
 }
 
@@ -176,6 +182,17 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(ref.job_stats.cycles));
         return 1;
       }
+      if (fast.z_hash != ref.z_hash) {
+        std::fprintf(stderr,
+                     "FATAL: fast and reference kernels disagree on the Z matrix "
+                     "(hash %016llx vs %016llx) -- the FMA fast path is not "
+                     "bit-exact\n",
+                     static_cast<unsigned long long>(fast.z_hash),
+                     static_cast<unsigned long long>(ref.z_hash));
+        return 1;
+      }
+      std::printf("default geometry Z hash (fast == reference): %016llx\n",
+                  static_cast<unsigned long long>(fast.z_hash));
       json.add("speedup_fast_vs_reference",
                fast.cycles_per_sec() / ref.cycles_per_sec(), "x");
 

@@ -161,7 +161,7 @@ bool ZBuffer::tile_open(uint64_t tile) const {
 }
 
 void ZBuffer::capture(uint64_t tile, uint32_t tau,
-                      const std::vector<fp16::Float16>& values) {
+                      std::span<const fp16::Float16> values) {
   REDMULE_ASSERT(values.size() == geom_.l);
   for (TileBuf& b : open_tiles_) {
     if (b.tile != tile) continue;

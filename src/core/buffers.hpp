@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -127,7 +128,7 @@ class ZBuffer {
   void open_tile(uint64_t tile);
   bool tile_open(uint64_t tile) const;
   /// Captures the column of Z values for j-slot \p tau (one value per row).
-  void capture(uint64_t tile, uint32_t tau, const std::vector<fp16::Float16>& values);
+  void capture(uint64_t tile, uint32_t tau, std::span<const fp16::Float16> values);
   /// Seals the tile and emits row stores for the valid region.
   void close_tile(uint64_t tile, uint32_t z_ptr, const Job& job, unsigned mt,
                   unsigned kt);

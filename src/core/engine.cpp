@@ -14,7 +14,9 @@ RedmuleEngine::RedmuleEngine(const Geometry& g, mem::Hci& hci)
       ybuf_(g),
       wbuf_(g),
       zbuf_(g),
-      streamer_(g, hci, xbuf_, ybuf_, wbuf_, zbuf_) {
+      streamer_(g, hci, xbuf_, ybuf_, wbuf_, zbuf_),
+      x_regs_(g.h, g.l),
+      y_init_(g.l) {
   g.validate();
   // The streamer must fit a whole (possibly 16-bit-misaligned) line into one
   // shallow access: j_slots/2 words of payload + 1 word for misalignment.
@@ -23,13 +25,8 @@ RedmuleEngine::RedmuleEngine(const Geometry& g, mem::Hci& hci)
   REDMULE_REQUIRE(g.j_slots() <= 32,
                   "cycle model supports up to 32 j-slots (use the analytical "
                   "model for wider geometries)");
-  x_regs_.assign(g.h, std::vector<Float16>(g.l));
   steps_.resize(g.h);
   issues_.resize(g.h);
-  for (auto& issue : issues_) {
-    issue.x.reserve(g.l);
-    issue.init_acc.reserve(g.l);
-  }
 }
 
 void RedmuleEngine::reg_write(uint32_t offset, uint32_t value) {
@@ -62,14 +59,12 @@ void RedmuleEngine::reset() {
   tiling_.reset();
   ac_ = 0;
   total_span_ = 0;
+  n_tiles_ = 0;
   done_event_ = false;
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
+  x_regs_.clear();
+  std::fill(y_init_.begin(), y_init_.end(), Float16{});
   std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
-  }
+  std::fill(issues_.begin(), issues_.end(), Datapath::ColumnIssue{});
   cur_stats_ = JobStats{};
   last_stats_ = JobStats{};
 }
@@ -108,15 +103,11 @@ void RedmuleEngine::start_job() {
   datapath_.reset();
   streamer_.start(job_);
   ac_ = 0;
-  total_span_ = static_cast<uint64_t>(tiling_->tiles()) * tiling_->n_chunks *
-                geom_.j_slots();
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
+  n_tiles_ = tiling_->tiles();
+  total_span_ = n_tiles_ * tiling_->n_chunks * geom_.j_slots();
+  x_regs_.clear();
   std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
-  }
+  std::fill(issues_.begin(), issues_.end(), Datapath::ColumnIssue{});
   cur_stats_ = JobStats{};
   cur_stats_.macs = job_.macs();
   state_ = Fsm::kRunning;
@@ -133,24 +124,19 @@ void RedmuleEngine::finish_job() {
 
 bool RedmuleEngine::try_advance() {
   const unsigned h = geom_.h;
+  const unsigned l = geom_.l;
   const unsigned js = geom_.j_slots();
   const unsigned lat = geom_.fma_latency();
   const Tiling& tl = *tiling_;
 
   // --- Phase 1: decode and check every requirement; stall on any miss
-  // (global HWPE enable, nothing moves on a stall). steps_ is engine-owned
-  // scratch, reused every cycle without allocation.
+  // (global HWPE enable, nothing moves on a stall). The schedule counters
+  // only step in phase 2, so a stalled cycle decodes the same step again.
   for (unsigned c = 0; c < h; ++c) {
     ColStep& st = steps_[c];
-    st = ColStep{};
-    const int64_t local = static_cast<int64_t>(ac_) - static_cast<int64_t>(c) * lat;
-    if (local < 0 || local >= static_cast<int64_t>(total_span_)) continue;
-    st.active = true;
-    const uint64_t t_global = static_cast<uint64_t>(local) / js;
-    st.tile = t_global / tl.n_chunks;
-    st.trav = static_cast<uint32_t>(t_global % tl.n_chunks);
-    st.tau = static_cast<uint32_t>(local % js);
-    st.n = static_cast<uint64_t>(st.trav) * h + c;
+    st.active = ac_ >= static_cast<uint64_t>(c) * lat && st.tile < n_tiles_;
+    if (!st.active) continue;
+    st.n = st.trav * h + c;
     st.padded = st.n >= job_.n;
 
     if (!st.padded) {
@@ -160,9 +146,7 @@ bool RedmuleEngine::try_advance() {
       if (st.wline == nullptr) return false;
       // The X operand registers load from the X-buffer at tau == 0 only;
       // afterwards the line may be retired (the operands are held locally).
-      if (st.tau == 0 &&
-          xbuf_.find_ready(st.tile, static_cast<uint32_t>(st.n / js)) == nullptr)
-        return false;
+      if (st.tau == 0 && xbuf_.find_ready(st.tile, st.n / js) == nullptr) return false;
     }
     // Accumulation input: column 0 injects Y on the first traversal.
     if (job_.accumulate && c == 0 && st.trav == 0 &&
@@ -176,53 +160,50 @@ bool RedmuleEngine::try_advance() {
   }
 
   // --- Phase 2: all operands present; perform latches, pops, and the
-  // datapath step. issues_ is reused scratch: reset the per-column fields
-  // (clear() keeps vector capacity, so steady state never allocates).
+  // datapath step, then step the schedule counters of the issuing columns.
   for (unsigned c = 0; c < h; ++c) {
-    const ColStep& st = steps_[c];
+    ColStep& st = steps_[c];
     Datapath::ColumnIssue& issue = issues_[c];
-    issue.active = false;
-    issue.first_traversal = false;
-    issue.init_acc.clear();
-    // Padded columns never assign w below, so a stale broadcast from an
-    // earlier cycle (possibly Inf/NaN) must not leak into their FMAs.
-    issue.w = Float16{};
     if (!st.active) {
-      issue.tag = PipeTag{};
-      issue.x.clear();  // observers must not see a stale operand snapshot
+      issue = Datapath::ColumnIssue{};  // observers see no stale operands
       continue;
     }
 
     if (st.tau == 0) {
       // Operand-register load: latch the X elements for this traversal.
+      Float16* regs = x_regs_.bits(c);
       if (st.padded) {
-        std::fill(x_regs_[c].begin(), x_regs_[c].end(), Float16{});
+        std::fill(regs, regs + l, Float16{});
       } else {
-        const uint32_t q = static_cast<uint32_t>(st.n / js);
+        const uint32_t q = st.n / js;
         XGroup* grp = xbuf_.find_ready(st.tile, q);
         REDMULE_ASSERT(grp != nullptr);
-        const unsigned off = static_cast<unsigned>(st.n % js);
-        for (unsigned r = 0; r < geom_.l; ++r) x_regs_[c][r] = grp->rows[r][off];
+        const unsigned off = st.n - q * js;
+        for (unsigned r = 0; r < l; ++r) regs[r] = grp->rows[r][off];
         // Retire the line group once its last operand load happened.
         ++grp->uses;
         const uint32_t n0 = q * js;
         const uint32_t expected = std::min<uint32_t>(js, job_.n - n0);
         if (grp->uses == expected) xbuf_.pop_front();
       }
+      x_regs_.convert(c);
     }
 
     issue.active = true;
     issue.tag = PipeTag{st.tile, st.trav, st.tau, st.trav == tl.n_chunks - 1};
     issue.first_traversal = st.trav == 0;
-    issue.x = x_regs_[c];
+    issue.x = &x_regs_;
+    issue.init_acc = nullptr;
     if (job_.accumulate && c == 0 && st.trav == 0) {
       XGroup* ygrp = ybuf_.find_ready(st.tile, 0);
       REDMULE_ASSERT(ygrp != nullptr);
-      issue.init_acc.resize(geom_.l);
-      for (unsigned r = 0; r < geom_.l; ++r)
-        issue.init_acc[r] = ygrp->rows[r][st.tau];
+      for (unsigned r = 0; r < l; ++r) y_init_[r] = ygrp->rows[r][st.tau];
+      issue.init_acc = y_init_.data();
       if (st.tau == js - 1) ybuf_.pop_front();  // Y tile fully injected
     }
+    // Padded columns broadcast +0: a stale W element from an earlier cycle
+    // (possibly Inf/NaN) must not leak into their FMAs.
+    issue.w = Float16{};
     if (!st.padded) {
       REDMULE_ASSERT(st.wline != nullptr);
       issue.w = st.wline->elems[st.tau];
@@ -230,11 +211,19 @@ bool RedmuleEngine::try_advance() {
     }
     if (c == h - 1 && st.trav == tl.n_chunks - 1 && st.tau == 0)
       zbuf_.open_tile(st.tile);
+
+    if (++st.tau == js) {
+      st.tau = 0;
+      if (++st.trav == tl.n_chunks) {
+        st.trav = 0;
+        ++st.tile;
+      }
+    }
   }
 
-  const std::optional<Datapath::Capture> cap = datapath_.advance(issues_);
+  const Datapath::Capture* cap = datapath_.advance(issues_);
   if (observer_active_) observer_(ac_, issues_, cap);
-  if (cap.has_value()) {
+  if (cap != nullptr) {
     zbuf_.capture(cap->tag.tile, cap->tag.tau, cap->values);
     if (cap->tag.tau == js - 1) {  // tile fully captured: emit row stores
       const unsigned mt = static_cast<unsigned>(cap->tag.tile / tl.k_tiles);

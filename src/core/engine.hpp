@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/buffers.hpp"
 #include "core/config.hpp"
@@ -62,11 +64,12 @@ class RedmuleEngine : public sim::Clocked {
 
   /// Debug/visualization hook: invoked after every successful array advance
   /// with the schedule counter, the issue set (inactive columns have
-  /// active = false) and the capture, if any. Used by the Fig. 2 schedule
-  /// bench and by schedule-verification tests; zero cost when unset.
+  /// active = false) and the capture, if any (null otherwise; both are valid
+  /// only during the call). Used by the Fig. 2 schedule bench and by
+  /// schedule-verification tests; zero cost when unset.
   using ScheduleObserver =
-      std::function<void(uint64_t ac, const std::vector<Datapath::ColumnIssue>&,
-                         const std::optional<Datapath::Capture>&)>;
+      std::function<void(uint64_t ac, std::span<const Datapath::ColumnIssue>,
+                         const Datapath::Capture*)>;
   void set_schedule_observer(ScheduleObserver obs) {
     observer_ = std::move(obs);
     // Cache the engaged/empty state so the hot loop tests one bool instead
@@ -113,14 +116,16 @@ class RedmuleEngine : public sim::Clocked {
  private:
   enum class Fsm { kIdle, kRunning };
 
-  /// Decoded schedule step for one column (phase-1 scratch; lives in the
-  /// engine so the hot loop never allocates).
+  /// Schedule position of one column. Column c issues j-slot `tau` of
+  /// traversal `trav` of tile `tile` from ac_ == c * fma_latency on; the
+  /// counters step with every array advance, so decoding a cycle needs no
+  /// division.
   struct ColStep {
-    bool active = false;
+    bool active = false;  ///< phase 1: issues this cycle
     uint64_t tile = 0;
     uint32_t trav = 0;
     uint32_t tau = 0;
-    uint64_t n = 0;
+    uint32_t n = 0;       ///< W row / X column: trav * H + c
     bool padded = false;  // n >= N: zero lane, no buffer involvement
     const WLine* wline = nullptr;  ///< phase-1 lookup, consumed by phase 2
   };
@@ -145,14 +150,17 @@ class RedmuleEngine : public sim::Clocked {
   uint64_t ac_ = 0;          ///< array schedule counter (advance steps)
   uint64_t total_span_ = 0;  ///< issue window length = tiles * n_chunks * j_slots
   bool done_event_ = false;
+  uint64_t n_tiles_ = 0;     ///< tiles of the running job
   /// Per-column X operand registers: loaded from the X-buffer at the first
   /// j-slot of each traversal and held for the whole H*(P+1) window, as the
   /// paper describes ("X-matrix elements of each FMA are held steady").
-  std::vector<std::vector<fp16::Float16>> x_regs_;
-  /// Pre-allocated per-cycle scratch for try_advance(): sized once at
-  /// construction (H entries each), reset in start_job(), reused every
-  /// cycle. Hoisting these out of the hot loop removes the two per-cycle
-  /// heap allocations the seed kernel paid.
+  /// Converted to the FMA kernel's binary64 form once, when latched.
+  OperandRegs x_regs_;
+  /// Y elements injected by column 0 this cycle (accumulate jobs).
+  std::vector<fp16::Float16> y_init_;
+  /// Per-column schedule counters and per-cycle issue descriptors: sized
+  /// once at construction (H entries each), reset in start_job(); the hot
+  /// loop never allocates.
   std::vector<ColStep> steps_;
   std::vector<Datapath::ColumnIssue> issues_;
 

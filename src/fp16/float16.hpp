@@ -119,12 +119,12 @@ class Float16 {
   /// Fused multiply-add: round(a*b + c) with a single rounding -- the exact
   /// operation each RedMulE datapath element performs every cycle.
   ///
-  /// Dispatching entry point: when the operands are all normal, the mode is
-  /// RNE and the caller does not observe flags, the result is produced by a
-  /// native-arithmetic fast path (defined inline below; see the comment
-  /// there for the proof that it rounds identically); every other case --
-  /// subnormals, NaN/Inf, non-RNE modes, flag-observing callers -- takes the
-  /// bit-exact soft-float core.
+  /// Dispatching entry point: when the operands are all normal or zero, the
+  /// mode is RNE and the caller does not observe flags, the result is
+  /// produced by a native-arithmetic fast path (defined inline below; see the
+  /// comment there for the proof that it rounds identically); every other
+  /// case -- subnormals, NaN/Inf, non-RNE modes, flag-observing callers --
+  /// takes the bit-exact soft-float core.
   static Float16 fma(Float16 a, Float16 b, Float16 c,
                      RoundingMode rm = RoundingMode::kRNE, Flags* flags = nullptr);
   /// The soft-float FMA core: unpack / exact significand arithmetic / single
@@ -207,44 +207,64 @@ inline double normal_to_double(Float16 f) {
   return d;
 }
 
-/// RNE-rounds a binary64 value to binary16, succeeding only when the result
-/// is a *normal* fp16 (the exactness window of the fast path). Returns false
-/// -- the caller falls back to the soft core -- for results that are zero,
-/// subnormal, or (would round to) out of the normal range.
-inline bool fast_pack_rne(double v, uint16_t* out) {
+/// RNE-rounds a binary64 value to binary16 with integer operations on its
+/// encoding, without branches (the whole-array FMA kernel in
+/// fp16/fma_batch.hpp runs it on every lane). Succeeds when the result is an
+/// fp16 *normal* (the exactness window of the fast path) or a zero: \p v is
+/// +-0 (or a binary64 subnormal of at most 2^-1033, which RNE-rounds to the
+/// same signed zero; no fp16 FMA produces one). On success \p out holds the
+/// encoding and \p image its exact binary64 value. Fails -- the caller falls
+/// back to the soft core -- when \p v is nonzero but below the fp16 normal
+/// range (subnormal or underflowing results need the soft core's tininess
+/// handling) or (would round to) above it (overflow needs its saturation
+/// logic). The range tests compare 32-bit exponent fields so that a
+/// baseline-ISA (SSE2) build can vectorise them too.
+inline bool fast_pack_rne(double v, uint16_t* out, double* image) {
   uint64_t b;
   std::memcpy(&b, &v, sizeof(b));
-  const int e = static_cast<int>((b >> 52) & 0x7FF) - 1023;
-  if (e < Float16::kEmin || e > Float16::kEmax) return false;
-  const uint64_t frac = b & ((1ull << 52) - 1);
-  uint64_t kept = frac >> 42;
-  const uint64_t round_bit = (frac >> 41) & 1;
-  const uint64_t sticky = frac & ((1ull << 41) - 1);
-  kept += round_bit & (static_cast<uint64_t>(sticky != 0) | (kept & 1));
-  int ee = e;
-  if (kept == (1u << Float16::kFracBits)) {  // carry out of rounding
-    kept = 0;
-    ++ee;
-    if (ee > Float16::kEmax) return false;  // rounded up to overflow
-  }
-  *out = static_cast<uint16_t>(((b >> 63) << 15) |
-                               (static_cast<uint64_t>(ee + Float16::kBias) << 10) |
-                               kept);
-  return true;
+  constexpr int kShift = 52 - Float16::kFracBits;  // dropped fraction bits
+  constexpr uint32_t kExpDelta = 1023 - Float16::kBias;  // binary64 - fp16 bias
+  constexpr uint32_t kMinExp = 1023 + Float16::kEmin;     // biased binary64
+  constexpr uint32_t kMaxExp = 1023 + Float16::kEmax;
+  const uint64_t sign = b >> 63;
+  const uint64_t mag = b & ~(1ull << 63);
+  // Round to nearest even at bit kShift: add just under half an fp16 ulp plus
+  // the kept LSB, then truncate. A carry out of the fraction ripples into the
+  // exponent field, which is exactly the binade step of the rounded value.
+  const uint64_t rmag = (mag + ((1ull << (kShift - 1)) - 1) + ((mag >> kShift) & 1)) &
+                        ~((1ull << kShift) - 1);
+  // Normal: the unrounded exponent is >= kEmin and the rounded one <= kEmax.
+  const bool normal = (static_cast<uint32_t>(mag >> 52) >= kMinExp) &
+                      (static_cast<uint32_t>(rmag >> 52) <= kMaxExp);
+  // rmag has no bits below kShift, so its high word is zero iff rmag is.
+  const bool zero = static_cast<uint32_t>(rmag >> 32) == 0;
+  const uint32_t normal_mask = 0u - static_cast<uint32_t>(normal);
+  const uint32_t field =
+      (static_cast<uint32_t>(rmag >> kShift) - (kExpDelta << Float16::kFracBits)) & normal_mask;
+  *out = static_cast<uint16_t>((static_cast<uint32_t>(sign) << 15) | field);
+  const uint64_t rb = (sign << 63) | rmag;
+  std::memcpy(image, &rb, sizeof(rb));
+  return normal | zero;
 }
 
 }  // namespace detail
 
-// Native-arithmetic FMA fast path, inlined into the datapath's hot loop.
-// Eligibility: RNE, no flag observer, all three operands normal or zero
-// (zeros matter: padded lanes multiply by zero and every first traversal
-// accumulates onto +0). Why the result is bit-identical to the soft core
-// (fma_soft):
+// Native-arithmetic FMA fast path. Float16::fma() below runs it on one
+// lane; the whole-array kernel in fp16/fma_batch.hpp runs the same
+// arithmetic and the same fast_pack_rne() on every lane of the FMA array at
+// once, so both accept exactly the same operand set and return the same
+// bits. Eligibility: RNE, no flag observer, all three operands normal or
+// zero (zeros matter: padded lanes multiply by zero and every first
+// traversal accumulates onto +0). Why the result is bit-identical to the
+// soft core (fma_soft):
 //
 //  1. normal-or-zero fp16 -> binary64 is exact (11-bit significands, 53-bit
 //     target; zeros keep their sign, and binary64 zero-sign rules for the
 //     product and sum match the soft core's under RNE);
-//  2. the binary64 product is exact: the significand of a*b has <= 22 bits;
+//  2. the binary64 product is exact: the significand of a*b has <= 22 bits.
+//     Hence contracting a*b + c into one hardware FMA (which a compiler may
+//     do when it targets an ISA with FMA instructions) rounds the same exact
+//     sum once and cannot change any result;
 //  3. the binary64 add then performs ONE rounding, so the double holds
 //     fl53(a*b + c): the exact value rounded once to 53 bits;
 //  4. rounding fl53(v) to 11 bits equals rounding v to 11 bits directly
@@ -258,10 +278,18 @@ inline bool fast_pack_rne(double v, uint16_t* out) {
 //     (Exhaustively cross-checked against the soft core in
 //     tests/fp16/test_hw_crosscheck.cpp, including all rounding modes and
 //     the flag-observing entry points.)
+//  5. zero results: every nonzero exact v has |v| >= 2^-48 (the lattice
+//     above bottoms out at ulp(p) >= 2^-48), far above binary64's underflow
+//     threshold, so a binary64 v == 0 means the exact sum is zero: an exact
+//     cancellation p == -c, or a zero product added to a zero addend. Its
+//     sign follows the same IEEE rule in both formats: +0 for an exact
+//     cancellation under RNE, and for zero + zero the sign of the operands
+//     when they agree, +0 otherwise. So an exact zero is returned as
+//     signbit(v) ? -0 : +0 without the soft core.
 //
-// fast_pack_rne() bails (-> soft core) when the 53-bit result is outside the
-// fp16 *normal* range: subnormal/zero results need the soft core's tininess
-// and signed-zero handling, overflow its saturation logic.
+// fast_pack_rne() bails (-> soft core) when the 53-bit result is nonzero and
+// outside the fp16 *normal* range: subnormal results need the soft core's
+// tininess handling, overflow its saturation logic.
 inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
                             Flags* flags) {
   if (detail::g_fast_fma_enabled.load(std::memory_order_relaxed) &&
@@ -271,7 +299,8 @@ inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
     const double v = detail::normal_to_double(a) * detail::normal_to_double(b) +
                      detail::normal_to_double(c);
     uint16_t bits;
-    if (detail::fast_pack_rne(v, &bits)) return from_bits(bits);
+    double image;
+    if (detail::fast_pack_rne(v, &bits, &image)) return from_bits(bits);
   }
   return fma_soft(a, b, c, rm, flags);
 }

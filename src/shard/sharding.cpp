@@ -170,10 +170,11 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
         } catch (...) {
           slots[k].error = std::current_exception();
         }
-        {
-          std::lock_guard<std::mutex> l(m);
-          ++done;
-        }
+        // Notify under the lock: once the waiter sees the last `done` it
+        // returns and destroys `cv`, so no task may touch `cv` after
+        // releasing `m`.
+        std::lock_guard<std::mutex> l(m);
+        ++done;
         cv.notify_one();
       });
     }

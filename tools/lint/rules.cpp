@@ -253,7 +253,7 @@ class DeterminismRule final : public Rule {
 /// The declared one-direction module map. An entry lists the modules a
 /// module may directly #include (itself is always allowed). This is the
 /// intended architecture from docs/ARCHITECTURE.md: common is the base;
-/// sim's clocking/trace/run-control infrastructure sits below the memory
+/// sim's clocking/run-control infrastructure sits below the memory
 /// and compute hierarchy; cluster composes the hardware; workloads lower
 /// math onto it; api is the typed public surface; shard orchestrates
 /// multi-cluster execution through api's pool engine; serve speaks only
